@@ -67,20 +67,16 @@ fn main() {
             _ => usage(),
         }
     }
+    // Check the output directory before spending seconds on a proof.
+    if !std::path::Path::new(&out_dir).is_dir() {
+        eprintln!("error: --out-dir {out_dir}: not an existing directory");
+        std::process::exit(2);
+    }
 
     match field.as_str() {
         "goldilocks" => {
-            let prover = bench_prover();
-            let prover_path = format!("{out_dir}/BENCH_PROVER.json");
-            std::fs::write(&prover_path, prover.to_string_pretty() + "\n")
-                .unwrap_or_else(|e| panic!("writing {prover_path}: {e}"));
-            println!("wrote {prover_path}");
-
-            let sim = bench_sim();
-            let sim_path = format!("{out_dir}/BENCH_SIM.json");
-            std::fs::write(&sim_path, sim.to_string_pretty() + "\n")
-                .unwrap_or_else(|e| panic!("writing {sim_path}: {e}"));
-            println!("wrote {sim_path}");
+            write_artifact(&format!("{out_dir}/BENCH_PROVER.json"), &bench_prover());
+            write_artifact(&format!("{out_dir}/BENCH_SIM.json"), &bench_sim());
         }
         // KoalaBear runs the same prover workload over the 31-bit stack.
         // Its artifact is a *separate* trajectory (BENCH_PROVER_KB.json),
@@ -89,14 +85,20 @@ fn main() {
         // The chip simulator models the Goldilocks datapath, so no
         // BENCH_SIM.json is written in this mode.
         "koalabear" => {
-            let prover = bench_prover_kb();
-            let prover_path = format!("{out_dir}/BENCH_PROVER_KB.json");
-            std::fs::write(&prover_path, prover.to_string_pretty() + "\n")
-                .unwrap_or_else(|e| panic!("writing {prover_path}: {e}"));
-            println!("wrote {prover_path}");
+            write_artifact(&format!("{out_dir}/BENCH_PROVER_KB.json"), &bench_prover_kb());
         }
         _ => usage(),
     }
+}
+
+/// Writes one artifact, exiting 1 with the path and the OS error if the
+/// write fails.
+fn write_artifact(path: &str, artifact: &Json) {
+    if let Err(e) = std::fs::write(path, artifact.to_string_pretty() + "\n") {
+        eprintln!("error: writing {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("wrote {path}");
 }
 
 /// Proves the fixed Starky instance single-threaded over Goldilocks and

@@ -17,8 +17,14 @@ use crate::proof::{FriFoldOpening, FriInitialOpening, FriProof, FriQueryRound};
 pub enum WireError {
     /// Ran out of bytes mid-structure.
     Truncated,
-    /// A length prefix exceeded sane bounds.
+    /// A length prefix exceeded the bytes left to decode (every element
+    /// encodes to at least one byte).
     LengthOutOfRange(u64),
+    /// A field element's bytes encode a value `>= p`: only the canonical
+    /// representative is a valid encoding.
+    NonCanonical(u64),
+    /// Bytes were left over after a complete proof.
+    TrailingBytes(usize),
 }
 
 impl core::fmt::Display for WireError {
@@ -26,6 +32,8 @@ impl core::fmt::Display for WireError {
         match self {
             Self::Truncated => write!(f, "unexpected end of proof bytes"),
             Self::LengthOutOfRange(n) => write!(f, "length prefix {n} out of range"),
+            Self::NonCanonical(v) => write!(f, "non-canonical field element {v:#x}"),
+            Self::TrailingBytes(n) => write!(f, "{n} trailing bytes after the proof"),
         }
     }
 }
@@ -120,26 +128,34 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
     }
 
-    /// Reads a length prefix.
+    /// Reads a length prefix: an element count no larger than the bytes
+    /// left to decode, since every element encodes to at least one byte.
+    /// A count read here is therefore a safe `Vec::with_capacity` bound.
     pub fn len_prefix(&mut self) -> Result<usize, WireError> {
         let end = self.pos.checked_add(4).ok_or(WireError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        let n = u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as u64;
-        if n > (1 << 30) {
-            return Err(WireError::LengthOutOfRange(n));
+        let n = u32::from_le_bytes(bytes.try_into().expect("4 bytes"));
+        let remaining = self.buf.len() - self.pos;
+        match usize::try_from(n) {
+            Ok(n) if n <= remaining => Ok(n),
+            _ => Err(WireError::LengthOutOfRange(u64::from(n))),
         }
-        Ok(usize::try_from(n).expect("bounded length fits usize"))
     }
 
-    /// Reads a field element (`F::BYTES` bytes, zero-extended).
+    /// Reads a field element (`F::BYTES` bytes, zero-extended), rejecting
+    /// any value `>= p`.
     pub fn field<F: PrimeField64>(&mut self) -> Result<F, WireError> {
         let end = self.pos.checked_add(F::BYTES).ok_or(WireError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
         let mut wide = [0u8; 8];
         wide[..F::BYTES].copy_from_slice(bytes);
-        Ok(F::from_u64(u64::from_le_bytes(wide)))
+        let v = u64::from_le_bytes(wide);
+        if v >= F::ORDER {
+            return Err(WireError::NonCanonical(v));
+        }
+        Ok(F::from_u64(v))
     }
 
     /// Reads an extension element (`DEGREE` base limbs).
@@ -223,11 +239,13 @@ impl<F: ProtocolField> FriProof<F> {
         w.into_bytes()
     }
 
-    /// Decodes a proof from bytes.
+    /// Decodes a proof from bytes. The encoding is canonical: a proof
+    /// decodes only from exactly the bytes [`FriProof::to_bytes`] emits.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on truncation or corrupt length prefixes.
+    /// Returns [`WireError`] on truncation, corrupt length prefixes,
+    /// non-canonical field elements, or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(bytes);
         let num_points = r.len_prefix()?;
@@ -278,6 +296,9 @@ impl<F: ProtocolField> FriProof<F> {
                 folds.push(FriFoldOpening { pair, proof });
             }
             queries.push(FriQueryRound { initial, folds });
+        }
+        if !r.is_exhausted() {
+            return Err(WireError::TrailingBytes(bytes.len() - r.pos));
         }
         Ok(Self {
             openings,

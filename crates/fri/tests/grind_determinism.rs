@@ -1,24 +1,23 @@
 //! Determinism wall for the proof-of-work grind.
 //!
-//! [`unizk_fri::grind`] searches nonces with two overshooting parallel
-//! axes — packed Poseidon lanes within a block, worker threads across
-//! blocks — yet the protocol pins the witness to the **smallest**
-//! qualifying nonce and charges `poseidon.permutations` exactly
-//! `winner + 1`. This suite checks that contract against a transparent
-//! serial scan for transcripts whose winning nonce lands at the very
-//! first candidate, inside the first lane group, deep inside one block,
-//! and across block boundaries (several parallel waves), under every
-//! lane-width × thread-count combination.
+//! [`unizk_fri::grind`] searches 512-nonce blocks on worker threads, which
+//! overshoot the winner, yet the protocol pins the witness to the
+//! **smallest** qualifying nonce and charges `poseidon.permutations`
+//! exactly `winner + 1`. This suite checks that contract against a
+//! transparent serial scan for transcripts whose winning nonce lands at
+//! the very first candidate, among the first few nonces, deep inside one
+//! block, and across block boundaries (several parallel waves), under
+//! every thread count.
 //!
-//! Like `tests/thread_invariance.rs`, everything here mutates
-//! process-global knobs and therefore serializes on one lock, restoring
-//! defaults before releasing it.
+//! Like `tests/thread_invariance.rs`, everything here mutates the
+//! process-global parallelism knob and therefore serializes on one lock,
+//! restoring the default before releasing it.
 
 use std::sync::{Mutex, PoisonError};
 
 use unizk_field::{set_parallelism, Field, Goldilocks};
 use unizk_fri::{grind, pow_ok};
-use unizk_hash::{set_hash_lanes, Challenger};
+use unizk_hash::Challenger;
 use unizk_testkit::trace;
 
 static KNOBS: Mutex<()> = Mutex::new(());
@@ -28,7 +27,6 @@ struct Restore;
 impl Drop for Restore {
     fn drop(&mut self) {
         set_parallelism(0);
-        set_hash_lanes(0);
     }
 }
 
@@ -52,7 +50,7 @@ fn seeded_challenger(seed: u64) -> Challenger {
 
 /// For each difficulty, find transcripts whose reference winner falls in
 /// the wanted region, then require `grind` to reproduce both the winner
-/// and the counter under every knob combination.
+/// and the counter under every thread count.
 #[test]
 fn grind_matches_serial_scan_under_every_knob() {
     let _lock = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -60,14 +58,14 @@ fn grind_matches_serial_scan_under_every_knob() {
 
     // (difficulty bits, predicate the reference winner must satisfy,
     //  descriptive region). Regions chosen to cover: an instant hit
-    //  (winner 0, "many qualifying nonces" in every block), a hit inside
-    //  the first lane group, a hit deep inside the first 512-nonce block,
+    //  (winner 0, "many qualifying nonces" in every block), a hit among
+    //  the first few nonces, a hit deep inside the first 512-nonce block,
     //  and a hit past the first block (so several parallel waves run and
     //  early blocks find *no* qualifying nonce).
     type Region = (usize, fn(u64) -> bool, &'static str);
     let regions: [Region; 4] = [
         (0, |w| w == 0, "every nonce qualifies"),
-        (2, |w| (1..8).contains(&w), "inside the first lane group"),
+        (2, |w| (1..8).contains(&w), "among the first few nonces"),
         (7, |w| (8..512).contains(&w), "inside the first block"),
         (11, |w| w >= 512, "past the first block"),
     ];
@@ -81,23 +79,20 @@ fn grind_matches_serial_scan_under_every_knob() {
             })
             .unwrap_or_else(|| panic!("no transcript found with a winner {desc}"));
 
-        for lanes in [1usize, 2, 4, 8] {
-            for threads in [1usize, 2, 3, 0] {
-                set_hash_lanes(lanes);
-                set_parallelism(threads);
-                trace::reset();
-                let witness = grind(&seeded_challenger(seed), bits);
-                assert_eq!(
-                    witness.as_u64(),
-                    want,
-                    "witness drift ({desc}) at lanes={lanes} threads={threads}"
-                );
-                assert_eq!(
-                    trace::snapshot().counters,
-                    vec![("poseidon.permutations".to_string(), want + 1)],
-                    "counter drift ({desc}) at lanes={lanes} threads={threads}"
-                );
-            }
+        for threads in [1usize, 2, 3, 0] {
+            set_parallelism(threads);
+            trace::reset();
+            let witness = grind(&seeded_challenger(seed), bits);
+            assert_eq!(
+                witness.as_u64(),
+                want,
+                "witness drift ({desc}) at threads={threads}"
+            );
+            assert_eq!(
+                trace::snapshot().counters,
+                vec![("poseidon.permutations".to_string(), want + 1)],
+                "counter drift ({desc}) at threads={threads}"
+            );
         }
     }
 }

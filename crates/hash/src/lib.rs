@@ -8,6 +8,8 @@
 //!   with the exact round structure of the paper's Algorithm 1 (4 full
 //!   rounds, a pre-partial round, 22 partial rounds with a sparse MDS
 //!   matrix, 4 full rounds; `x^7` S-box).
+//! * [`poseidon2_kb`] — the Poseidon2 permutation over 16 KoalaBear
+//!   elements, the hasher of the 31-bit proof path.
 //! * [`sponge`] — sponge hashing (`rate = 8`) and the duplex
 //!   [`sponge::Challenger`] used for Fiat–Shamir transforms.
 //! * [`merkle`] — Merkle tree construction with the paper's leaf-absorb and
@@ -36,23 +38,16 @@
 
 pub mod digest;
 pub mod merkle;
-pub mod packed;
 pub mod poseidon;
-pub mod poseidon2;
 pub mod poseidon2_kb;
 pub mod sponge;
 pub mod workspace;
 
 pub use digest::Digest;
 pub use merkle::{GenericMerkleTree, MerkleProof, MerkleTree};
-pub use packed::{
-    hash_lanes, packed_min_batch, set_hash_lanes, set_packed_min_batch, PackedPermutation,
-    MAX_LANES,
-};
 pub use poseidon::{
     poseidon_permute, NoncePermutation, PoseidonCost, SPONGE_CAPACITY, SPONGE_RATE, WIDTH,
 };
-pub use poseidon2::{poseidon2_permute, Poseidon2Constants, Poseidon2Sponge};
 pub use poseidon2_kb::{poseidon2_kb_permute, Poseidon2KbConstants, Poseidon2KbSponge};
 pub use sponge::{
     compress_level, compress_level_with, hash_many, hash_many_with, hash_no_pad, hash_no_pad_with,

@@ -27,15 +27,13 @@ use crate::workspace::Workspace;
 /// (any chunk size yields identical digests and counters).
 const HASH_CHUNK: usize = 128;
 
-/// Hashes every leaf through the batched sponge dispatcher
-/// ([`hash_many_with`]), which absorbs runs of equal-length leaves in
-/// lockstep through the backend's packed engine. Under multi-threading,
-/// workers receive `chunk_size` leaves at a time and batch-hash them, so
-/// per-item dispatch overhead is paid once per chunk rather than once per
-/// leaf.
+/// Hashes every leaf through [`hash_many_with`]. Under multi-threading,
+/// workers receive `chunk_size` leaves at a time and hash them as one
+/// batch, so per-item dispatch overhead is paid once per chunk rather
+/// than once per leaf.
 ///
 /// Equivalent to `leaves.iter().map(|l| hash_no_pad_with::<B>(l))` for
-/// every chunk size, lane width, and thread count (the per-leaf
+/// every chunk size and thread count (the per-leaf
 /// `B::COUNTER` accounting is preserved exactly), which the edge-case
 /// suite pins down.
 ///

@@ -178,7 +178,7 @@ pub fn constants() -> &'static PoseidonConstants {
 /// canonicalizing subtraction, which every multiply in the chain would
 /// otherwise pay.
 #[inline]
-pub(crate) fn sbox_residue(x: u64) -> u64 {
+fn sbox_residue(x: u64) -> u64 {
     // x^7 = x^4 · x^2 · x  (3 squarings/multiplies, as in hardware).
     let x2 = Goldilocks::mul_residue(x, x);
     let x4 = Goldilocks::mul_residue(x2, x2);
@@ -311,11 +311,11 @@ pub struct NoncePermutation {
     /// Per-output-row MDS accumulators over the 11 static sboxed lanes.
     /// Bound: 11 terms of `< 2^7 · 2^64`, comfortably below the `2^96`
     /// budget even after the nonce term joins.
-    pub(crate) static_acc: [u128; WIDTH],
+    static_acc: [u128; WIDTH],
     /// `mds[i][lane]` for each output row `i` (canonical, `< 2^7`).
-    pub(crate) nonce_col: [u64; WIDTH],
+    nonce_col: [u64; WIDTH],
     /// Round-0 constant for the nonce lane.
-    pub(crate) nonce_rc: u64,
+    nonce_rc: u64,
 }
 
 impl NoncePermutation {
@@ -362,6 +362,40 @@ impl NoncePermutation {
     /// output state.
     pub fn permute_with(&self, x: Goldilocks) -> [Goldilocks; WIDTH] {
         let cs = constants();
+        let mut lanes = self.all_but_last_round(cs, x);
+        full_round(cs, &mut lanes, FULL_ROUNDS - 1);
+        let mut out = [Goldilocks::ZERO; WIDTH];
+        for (o, l) in out.iter_mut().zip(lanes.iter()) {
+            *o = Goldilocks::from_residue(*l);
+        }
+        out
+    }
+
+    /// Output element `row` of [`Self::permute_with`]`(x)`, computing only
+    /// that row of the final round's MDS product. This is the grind's
+    /// per-attempt kernel: each attempt squeezes one rate element, so the
+    /// last matrix–vector product pays one row instead of twelve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= WIDTH`.
+    pub fn permute_with_row(&self, x: Goldilocks, row: usize) -> Goldilocks {
+        assert!(row < WIDTH, "output row out of range");
+        let cs = constants();
+        let mut lanes = self.all_but_last_round(cs, x);
+        for (l, c) in lanes.iter_mut().zip(cs.round_constants[FULL_ROUNDS - 1].iter()) {
+            *l = sbox_residue(Goldilocks::add_residue(*l, c.as_canonical_u64()));
+        }
+        let mut acc: u128 = 0;
+        for (c, l) in cs.mds[row].iter().zip(lanes.iter()) {
+            acc += u128::from(c.as_canonical_u64()) * u128::from(*l);
+        }
+        Goldilocks::from_residue(Goldilocks::reduce96_residue(acc))
+    }
+
+    /// Round 0 from the hoisted accumulators, then every round up to (not
+    /// including) the last full round.
+    fn all_but_last_round(&self, cs: &PoseidonConstants, x: Goldilocks) -> [u64; WIDTH] {
         let sx = sbox_residue(Goldilocks::add_residue(x.as_canonical_u64(), self.nonce_rc));
         let mut lanes = [0u64; WIDTH];
         for ((l, acc), c) in lanes
@@ -378,14 +412,10 @@ impl NoncePermutation {
         for r in 0..PARTIAL_ROUNDS {
             partial_round(cs, &mut lanes, r);
         }
-        for r in FULL_ROUNDS / 2..FULL_ROUNDS {
+        for r in FULL_ROUNDS / 2..FULL_ROUNDS - 1 {
             full_round(cs, &mut lanes, r);
         }
-        let mut out = [Goldilocks::ZERO; WIDTH];
-        for (o, l) in out.iter_mut().zip(lanes.iter()) {
-            *o = Goldilocks::from_residue(*l);
-        }
-        out
+        lanes
     }
 }
 
@@ -568,6 +598,36 @@ mod tests {
                 assert_eq!(hoisted.permute_with(x), full, "lane={lane} nonce={nonce}");
             }
         }
+    }
+
+    #[test]
+    fn nonce_row_matches_permute_with() {
+        let mut s = 0x40CE;
+        for lane in [0, 3, SPONGE_RATE - 1] {
+            let mut base = [Goldilocks::ZERO; WIDTH];
+            for x in base.iter_mut() {
+                *x = gen_field(&mut s);
+            }
+            let hoisted = NoncePermutation::new(&base, lane);
+            for nonce in [0u64, 1, 42, u64::MAX, splitmix64(&mut s)] {
+                let x = Goldilocks::from_u64(nonce);
+                let full = hoisted.permute_with(x);
+                for (row, want) in full.iter().enumerate() {
+                    assert_eq!(
+                        hoisted.permute_with_row(x, row),
+                        *want,
+                        "lane={lane} nonce={nonce} row={row}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "output row out of range")]
+    fn permute_with_row_rejects_bad_row() {
+        let hoisted = NoncePermutation::new(&[Goldilocks::ZERO; WIDTH], 0);
+        let _ = hoisted.permute_with_row(Goldilocks::ZERO, WIDTH);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Small-field STARK stacks (Plonky3-style) pair a 31-bit base field with a
 //! wider sponge: 16 lanes × 31 bits keeps the capacity (8 lanes ≈ 248
 //! bits) comfortably above the security target even though each lane
-//! carries a quarter of Goldilocks' entropy. The structure mirrors
-//! [`crate::poseidon2`]:
+//! carries a quarter of Goldilocks' entropy. The round structure is
+//! Poseidon2's:
 //!
 //! * **External (full) rounds** multiply by the block-circulant matrix
 //!   `M_E = circ(2·M4, M4, M4, M4)` built from the same fixed 4×4 `M4`,
@@ -179,36 +179,8 @@ pub fn poseidon2_kb_permute(state: &mut [KoalaBear; KB_WIDTH]) {
     }
 }
 
-/// Permutes a block of states in lockstep: one walk of the round schedule
-/// serves every state in the block, so constant and matrix-row fetches are
-/// amortized across lanes — the KoalaBear analogue of the packed Poseidon
-/// engine. Bit-identical to the scalar permutation per state.
-fn permute_lockstep(states: &mut [[KoalaBear; KB_WIDTH]]) {
-    let cs = constants_kb();
-    for state in states.iter_mut() {
-        *state = external_matvec(cs, state);
-    }
-    for r in 0..KB_FULL_ROUNDS / 2 {
-        for state in states.iter_mut() {
-            external_round(cs, state, r);
-        }
-    }
-    for r in 0..KB_PARTIAL_ROUNDS {
-        for state in states.iter_mut() {
-            internal_round(cs, state, r);
-        }
-    }
-    for r in KB_FULL_ROUNDS / 2..KB_FULL_ROUNDS {
-        for state in states.iter_mut() {
-            external_round(cs, state, r);
-        }
-    }
-}
-
 /// The KoalaBear Poseidon2 sponge backend — the default hasher of the
-/// 31-bit proof path (`StarkConfig<KoalaBear>`). Batches run the lockstep
-/// engine in blocks of [`crate::packed::hash_lanes`] states, honouring the
-/// same lane-width knob as the Goldilocks packed engine.
+/// 31-bit proof path (`StarkConfig<KoalaBear>`).
 #[derive(Clone, Copy, Debug)]
 pub struct Poseidon2KbSponge;
 
@@ -228,13 +200,6 @@ impl SpongeBackend for Poseidon2KbSponge {
         poseidon2_kb_permute(state);
     }
 
-    fn permute_batch(states: &mut [Self::State]) {
-        let lanes = crate::packed::hash_lanes().max(1);
-        for block in states.chunks_mut(lanes) {
-            permute_lockstep(block);
-        }
-    }
-
     // The snapshot is the raw prefix-filled state plus the pending lane.
     type Speculative = ([KoalaBear; KB_WIDTH], usize);
 
@@ -247,22 +212,6 @@ impl SpongeBackend for Poseidon2KbSponge {
         s[spec.1] = x;
         poseidon2_kb_permute(&mut s);
         s[KB_RATE - 1]
-    }
-
-    fn speculative_rows<const LANES: usize>(
-        spec: &Self::Speculative,
-        xs: &[KoalaBear; LANES],
-    ) -> [KoalaBear; LANES] {
-        let mut states = [spec.0; LANES];
-        for (s, &x) in states.iter_mut().zip(xs.iter()) {
-            s[spec.1] = x;
-        }
-        permute_lockstep(&mut states);
-        let mut out = [KoalaBear::ZERO; LANES];
-        for (o, s) in out.iter_mut().zip(states.iter()) {
-            *o = s[KB_RATE - 1];
-        }
-        out
     }
 }
 
@@ -341,35 +290,6 @@ mod tests {
         for d in constants_kb().internal_diag {
             let v = d.as_canonical_u32();
             assert!((1..=96).contains(&v));
-        }
-    }
-
-    #[test]
-    fn lockstep_matches_scalar() {
-        let mut scalar: Vec<[KoalaBear; KB_WIDTH]> = (0..13u64)
-            .map(|i| core::array::from_fn(|j| k(i * 100 + j as u64)))
-            .collect();
-        let mut batched = scalar.clone();
-        for s in scalar.iter_mut() {
-            poseidon2_kb_permute(s);
-        }
-        Poseidon2KbSponge::permute_batch(&mut batched);
-        assert_eq!(scalar, batched);
-    }
-
-    #[test]
-    fn speculative_rows_match_speculative_one() {
-        let mut state = [KoalaBear::ZERO; KB_WIDTH];
-        for (i, s) in state.iter_mut().enumerate() {
-            *s = k(7 + i as u64);
-        }
-        for pending in [0usize, 3, KB_RATE - 1] {
-            let spec = Poseidon2KbSponge::speculative(&state, pending);
-            let xs: [KoalaBear; 4] = core::array::from_fn(|l| k(1000 + l as u64));
-            let rows = Poseidon2KbSponge::speculative_rows(&spec, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                assert_eq!(rows[l], Poseidon2KbSponge::speculative_one(&spec, x), "lane {l}");
-            }
         }
     }
 }

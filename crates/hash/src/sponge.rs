@@ -24,14 +24,11 @@ use crate::workspace::Workspace;
 /// A cryptographic permutation a sponge can be built over, together with
 /// the base field it permutes.
 ///
-/// The default proof path always runs [`PoseidonSponge`]; the trait exists
-/// so alternative permutations ([`crate::poseidon2::Poseidon2Sponge`],
-/// the KoalaBear-field [`crate::poseidon2_kb::Poseidon2KbSponge`]) plug
-/// into the same absorb/compress dispatchers — including the batched,
-/// lane-packed ones — without touching the protocol code. Implementations
-/// must keep [`SpongeBackend::permute_batch`] bit-identical to a loop of
-/// [`SpongeBackend::permute`]; the conformance suite checks this for every
-/// shipped backend.
+/// Each base field has exactly one backend: [`PoseidonSponge`] for
+/// Goldilocks and [`crate::poseidon2_kb::Poseidon2KbSponge`] for
+/// KoalaBear. The trait lets both share the absorb/compress dispatchers
+/// and the challenger without touching the protocol code; the
+/// conformance suite runs the same checks over each.
 pub trait SpongeBackend {
     /// The base field the permutation operates on.
     type F: HashField;
@@ -53,19 +50,6 @@ pub trait SpongeBackend {
     /// Applies the permutation to one sponge state in place.
     fn permute(state: &mut Self::State);
 
-    /// Applies the permutation to a batch of independent sponge states.
-    ///
-    /// The default runs the scalar permutation per state; backends with a
-    /// packed engine override this with a lane-parallel dispatch. Either
-    /// way the results must be bit-identical to the scalar loop, and trace
-    /// counters are the caller's responsibility (batched dispatchers
-    /// account logical permutations once, not per strategy).
-    fn permute_batch(states: &mut [Self::State]) {
-        for s in states.iter_mut() {
-            Self::permute(s);
-        }
-    }
-
     /// A frozen "state + pending-lane" snapshot for speculative squeezes —
     /// the per-candidate kernel of the proof-of-work grind. Backends with
     /// hoistable round structure (Poseidon's [`NoncePermutation`]) cache
@@ -81,21 +65,6 @@ pub trait SpongeBackend {
     /// bit-identical to writing `x` and running [`SpongeBackend::permute`].
     /// No trace counter is bumped — callers account logical attempts.
     fn speculative_one(spec: &Self::Speculative, x: Self::F) -> Self::F;
-
-    /// [`SpongeBackend::speculative_one`] over `LANES` candidates in
-    /// lockstep. The default loops the scalar kernel; lane-packed backends
-    /// override it. Lane `l` must equal `speculative_one(spec, xs[l])`
-    /// bit-for-bit.
-    fn speculative_rows<const LANES: usize>(
-        spec: &Self::Speculative,
-        xs: &[Self::F; LANES],
-    ) -> [Self::F; LANES] {
-        let mut out = [Self::F::ZERO; LANES];
-        for (o, &x) in out.iter_mut().zip(xs.iter()) {
-            *o = Self::speculative_one(spec, x);
-        }
-        out
-    }
 }
 
 /// A base field wired into the hashing layer: knows its default sponge
@@ -200,9 +169,7 @@ impl HashField for unizk_field::KoalaBear {
     type Sponge = crate::poseidon2_kb::Poseidon2KbSponge;
 }
 
-/// The default backend: the Poseidon permutation of
-/// [`crate::poseidon`], with batches routed through the lane-packed engine
-/// in [`crate::packed`].
+/// The Goldilocks backend: the Poseidon permutation of [`crate::poseidon`].
 #[derive(Clone, Copy, Debug)]
 pub struct PoseidonSponge;
 
@@ -222,10 +189,6 @@ impl SpongeBackend for PoseidonSponge {
         poseidon_permute(state);
     }
 
-    fn permute_batch(states: &mut [Self::State]) {
-        crate::packed::permute_batch(states);
-    }
-
     type Speculative = NoncePermutation;
 
     fn speculative(state: &Self::State, pending: usize) -> NoncePermutation {
@@ -233,14 +196,7 @@ impl SpongeBackend for PoseidonSponge {
     }
 
     fn speculative_one(spec: &NoncePermutation, x: Goldilocks) -> Goldilocks {
-        spec.permute_with(x)[SPONGE_RATE - 1]
-    }
-
-    fn speculative_rows<const LANES: usize>(
-        spec: &NoncePermutation,
-        xs: &[Goldilocks; LANES],
-    ) -> [Goldilocks; LANES] {
-        spec.permute_many_row(xs, SPONGE_RATE - 1)
+        spec.permute_with_row(x, SPONGE_RATE - 1)
     }
 }
 
@@ -288,9 +244,9 @@ pub fn permutation_count(len: usize) -> usize {
     len.div_ceil(SPONGE_RATE).max(1)
 }
 
-/// [`two_to_one`] over an arbitrary sponge backend.
-pub fn two_to_one_with<B: SpongeBackend>(left: Digest<B::F>, right: Digest<B::F>) -> Digest<B::F> {
-    unizk_testkit::trace::counter(B::COUNTER, 1);
+/// Compresses two digests with backend `B` (4 + 4 elements, zero padded),
+/// without touching trace counters.
+fn compress<B: SpongeBackend>(left: Digest<B::F>, right: Digest<B::F>) -> Digest<B::F> {
     let mut state = B::zeroed();
     state.as_mut()[..4].copy_from_slice(&left.0);
     state.as_mut()[4..8].copy_from_slice(&right.0);
@@ -299,62 +255,30 @@ pub fn two_to_one_with<B: SpongeBackend>(left: Digest<B::F>, right: Digest<B::F>
     Digest([s[0], s[1], s[2], s[3]])
 }
 
+/// [`two_to_one`] over an arbitrary sponge backend.
+pub fn two_to_one_with<B: SpongeBackend>(left: Digest<B::F>, right: Digest<B::F>) -> Digest<B::F> {
+    unizk_testkit::trace::counter(B::COUNTER, 1);
+    compress::<B>(left, right)
+}
+
 /// Hashes two child digests into a parent digest: 4 + 4 elements, zero
 /// padded to a full state (paper §5.3).
 pub fn two_to_one(left: Digest, right: Digest) -> Digest {
     two_to_one_with::<PoseidonSponge>(left, right)
 }
 
-/// Hashes many inputs with backend `B` in one batched dispatch: runs of
-/// equal-length inputs absorb in lockstep through
-/// [`SpongeBackend::permute_batch`], so lane-packed backends permute 4–8
-/// sponges per schedule walk instead of one.
+/// Hashes many inputs with backend `B`, bumping `B::COUNTER` once for the
+/// whole batch.
 ///
-/// Digest-for-digest identical to mapping [`hash_no_pad_with`] over
-/// `inputs`, with the identical total `B::COUNTER` accounting (counted
-/// once per logical permutation, independent of lane width or batch
-/// grouping).
+/// Digest-for-digest and counter-for-counter identical to mapping
+/// [`hash_no_pad_with`] over `inputs`.
 pub fn hash_many_with<B: SpongeBackend>(inputs: &[&[B::F]]) -> Vec<Digest<B::F>> {
     let total: u64 = inputs
         .iter()
         .map(|input| input.len().div_ceil(B::RATE) as u64)
         .sum();
     unizk_testkit::trace::counter(B::COUNTER, total);
-
-    let mut out = Vec::with_capacity(inputs.len());
-    let mut i = 0;
-    while i < inputs.len() {
-        let len = inputs[i].len();
-        let mut j = i + 1;
-        while j < inputs.len() && inputs[j].len() == len {
-            j += 1;
-        }
-        hash_equal_run::<B>(&inputs[i..j], len, &mut out);
-        i = j;
-    }
-    out
-}
-
-/// Absorbs a run of equal-length inputs in lockstep.
-fn hash_equal_run<B: SpongeBackend>(run: &[&[B::F]], len: usize, out: &mut Vec<Digest<B::F>>) {
-    if run.len() < 2 || len == 0 {
-        out.extend(run.iter().map(|input| absorb_no_pad::<B>(input)));
-        return;
-    }
-    let mut states = vec![B::zeroed(); run.len()];
-    let mut pos = 0;
-    while pos < len {
-        let take = (len - pos).min(B::RATE);
-        for (state, input) in states.iter_mut().zip(run.iter()) {
-            state.as_mut()[..take].copy_from_slice(&input[pos..pos + take]);
-        }
-        B::permute_batch(&mut states);
-        pos += take;
-    }
-    out.extend(states.iter().map(|s| {
-        let s = s.as_ref();
-        Digest([s[0], s[1], s[2], s[3]])
-    }));
+    inputs.iter().map(|input| absorb_no_pad::<B>(input)).collect()
 }
 
 /// [`hash_many_with`] over the default Poseidon backend.
@@ -362,10 +286,9 @@ pub fn hash_many(inputs: &[&[Goldilocks]]) -> Vec<Digest> {
     hash_many_with::<PoseidonSponge>(inputs)
 }
 
-/// Compresses one interior Merkle level in a single batched dispatch:
-/// digest pairs `(prev[2k], prev[2k+1])` become parents via the same
-/// 4+4+zero-pad rule as [`two_to_one_with`], absorbed in lockstep through
-/// [`SpongeBackend::permute_batch`].
+/// Compresses one interior Merkle level: digest pairs `(prev[2k],
+/// prev[2k+1])` become parents via the same 4+4+zero-pad rule as
+/// [`two_to_one_with`], bumping `B::COUNTER` once for the whole level.
 ///
 /// Digest-for-digest and counter-for-counter identical to mapping
 /// [`two_to_one_with`] over the pairs.
@@ -375,20 +298,9 @@ pub fn hash_many(inputs: &[&[Goldilocks]]) -> Vec<Digest> {
 /// Panics if `prev.len()` is odd.
 pub fn compress_level_with<B: SpongeBackend>(prev: &[Digest<B::F>]) -> Vec<Digest<B::F>> {
     assert!(prev.len().is_multiple_of(2), "pair compression needs an even level");
-    let n = prev.len() / 2;
-    unizk_testkit::trace::counter(B::COUNTER, n as u64);
-    let mut states = vec![B::zeroed(); n];
-    for (state, pair) in states.iter_mut().zip(prev.chunks_exact(2)) {
-        state.as_mut()[..4].copy_from_slice(&pair[0].0);
-        state.as_mut()[4..8].copy_from_slice(&pair[1].0);
-    }
-    B::permute_batch(&mut states);
-    states
-        .iter()
-        .map(|s| {
-            let s = s.as_ref();
-            Digest([s[0], s[1], s[2], s[3]])
-        })
+    unizk_testkit::trace::counter(B::COUNTER, (prev.len() / 2) as u64);
+    prev.chunks_exact(2)
+        .map(|pair| compress::<B>(pair[0], pair[1]))
         .collect()
 }
 
@@ -582,24 +494,16 @@ impl<B: SpongeBackend> GenericSpeculativeChallenger<B> {
     /// round work), with the same single `B::COUNTER` bump.
     pub fn challenge(&self, x: B::F) -> B::F {
         unizk_testkit::trace::counter(B::COUNTER, 1);
-        B::speculative_one(&self.spec, x)
+        self.challenge_uncounted(x)
     }
 
-    /// The challenges `LANES` candidates would each produce, permuted in
-    /// lockstep through the backend's packed engine — the per-attempt
-    /// kernel of the parallel grind.
-    ///
-    /// Lane `l` equals [`Self::challenge`]`(xs[l])` bit-for-bit, but **no
-    /// trace counter is bumped**: grind-style callers scan past the winning
+    /// [`Self::challenge`] without the counter bump — the per-attempt
+    /// kernel of the grind. Grind-style callers scan past the winning
     /// nonce in blocks, so they account the *logical* attempt count
-    /// (`winner + 1`) once at the end — the count-once discipline the NTT
-    /// routing knobs established — keeping `B::COUNTER` byte-identical to
-    /// the serial scan for every lane width, block size, and thread count.
-    pub fn challenge_batch_uncounted<const LANES: usize>(
-        &self,
-        xs: &[B::F; LANES],
-    ) -> [B::F; LANES] {
-        B::speculative_rows(&self.spec, xs)
+    /// (`winner + 1`) once at the end, keeping `B::COUNTER` identical to
+    /// the serial scan for every block size and thread count.
+    pub fn challenge_uncounted(&self, x: B::F) -> B::F {
+        B::speculative_one(&self.spec, x)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Known-answer tests for the width-16 Poseidon2 permutation over
 //! KoalaBear (4 + 4 external rounds, 20 internal rounds) — the 31-bit
-//! mirror of `poseidon2_kat.rs`.
+//! mirror of `poseidon_kat.rs`.
 //!
 //! Two independent anchors pin the permutation:
 //!

@@ -1,18 +1,16 @@
 //! Backend-generic conformance suite for [`SpongeBackend`].
 //!
-//! Every shipped backend — the default Poseidon engine (scalar +
-//! lane-packed batch dispatch), the non-default Poseidon2 engine, and the
-//! KoalaBear-field Poseidon2 engine — must satisfy the same sponge
-//! contract: batch permutation bit-identical to the scalar loop,
-//! absorb/compress dispatchers equivalent to their one-at-a-time forms,
-//! and the usual hash hygiene (determinism, input sensitivity, order
-//! sensitivity). Running the identical checks over all backends — across
-//! two different base fields — is what makes [`SpongeBackend`] a real
-//! seam rather than a single-implementation indirection.
+//! Both shipped backends — Poseidon over Goldilocks and Poseidon2 over
+//! KoalaBear — must satisfy the same sponge contract: absorb/compress
+//! dispatchers equivalent to their one-at-a-time forms, and the usual hash
+//! hygiene (determinism, input sensitivity, order sensitivity). Running
+//! the identical checks over both base fields is what makes
+//! [`SpongeBackend`] a real seam rather than a single-implementation
+//! indirection.
 
-use unizk_field::{Field, Goldilocks, PrimeField64};
+use unizk_field::{Field, PrimeField64};
 use unizk_hash::sponge::{compress_level_with, hash_many_with, hash_no_pad_with, two_to_one_with};
-use unizk_hash::{Digest, Poseidon2KbSponge, Poseidon2Sponge, PoseidonSponge, SpongeBackend};
+use unizk_hash::{Digest, Poseidon2KbSponge, PoseidonSponge, SpongeBackend};
 use unizk_testkit::rng::SplitMix64;
 
 fn random_elems<B: SpongeBackend>(rng: &mut SplitMix64, n: usize) -> Vec<B::F> {
@@ -27,32 +25,9 @@ fn random_state<B: SpongeBackend>(rng: &mut SplitMix64) -> B::State {
     st
 }
 
-/// Batch permutation must equal the scalar loop for every batch length,
-/// including lengths that leave partial final lane groups.
-fn batch_matches_scalar_loop<B: SpongeBackend>() {
-    let mut rng = SplitMix64::seed_from_u64(0xC0F0);
-    for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31] {
-        let states: Vec<B::State> = (0..len).map(|_| random_state::<B>(&mut rng)).collect();
-        let mut batched = states.clone();
-        B::permute_batch(&mut batched);
-        let mut scalar = states;
-        for s in scalar.iter_mut() {
-            B::permute(s);
-        }
-        for (i, (b, s)) in batched.iter().zip(scalar.iter()).enumerate() {
-            assert_eq!(
-                b.as_ref(),
-                s.as_ref(),
-                "backend {} batch len {len} state {i}",
-                B::NAME
-            );
-        }
-    }
-}
-
 /// The grouped dispatcher must hash exactly like one absorb per input —
-/// across equal-length runs (which it batches) and ragged lengths (which
-/// it splits), covering absorb lengths 0..=24.
+/// across equal-length runs and ragged lengths, covering absorb lengths
+/// 0..=24.
 fn hash_many_matches_hash_no_pad<B: SpongeBackend>() {
     let mut rng = SplitMix64::seed_from_u64(0xC0F1);
     // Ragged lengths 0..=24 plus equal-length runs of each chunk shape.
@@ -147,7 +122,6 @@ fn geometry_sane<B: SpongeBackend>() {
 
 fn conformance<B: SpongeBackend>() {
     geometry_sane::<B>();
-    batch_matches_scalar_loop::<B>();
     hash_many_matches_hash_no_pad::<B>();
     compress_level_matches_two_to_one::<B>();
     hash_hygiene::<B>();
@@ -159,30 +133,12 @@ fn poseidon_backend_conforms() {
 }
 
 #[test]
-fn poseidon2_backend_conforms() {
-    conformance::<Poseidon2Sponge>();
-}
-
-#[test]
 fn poseidon2_kb_backend_conforms() {
     conformance::<Poseidon2KbSponge>();
 }
 
 #[test]
-fn backends_are_distinct_permutations() {
-    let input: Vec<Goldilocks> = (0..8u64).map(Goldilocks::from_u64).collect();
-    assert_ne!(
-        hash_no_pad_with::<PoseidonSponge>(&input),
-        hash_no_pad_with::<Poseidon2Sponge>(&input),
-        "the two backends must not collide on trivial inputs"
-    );
-}
-
-#[test]
 fn backend_metadata_is_distinct() {
-    assert_ne!(PoseidonSponge::NAME, Poseidon2Sponge::NAME);
-    assert_ne!(PoseidonSponge::COUNTER, Poseidon2Sponge::COUNTER);
     assert_ne!(PoseidonSponge::NAME, Poseidon2KbSponge::NAME);
     assert_ne!(PoseidonSponge::COUNTER, Poseidon2KbSponge::COUNTER);
-    assert_ne!(Poseidon2Sponge::NAME, Poseidon2KbSponge::NAME);
 }

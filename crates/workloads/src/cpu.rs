@@ -93,28 +93,3 @@ pub fn run_circuit(
         rows: circuit.rows,
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn breakdown_accounts_for_most_of_the_time() {
-        // Small instance; single thread, as in Table 1.
-        let run = run_cpu(App::Fibonacci, Scale::Shrunk(60), 1);
-        assert!(run.total > Duration::ZERO);
-        let covered: f64 = KernelClass::ALL.iter().map(|&c| run.fraction(c)).sum();
-        assert!(covered > 0.80, "timers cover {covered}");
-        assert!(covered <= 1.05);
-    }
-
-    #[test]
-    fn merkle_dominates_like_table1() {
-        let run = run_cpu(App::Fibonacci, Scale::Shrunk(60), 1);
-        let merkle = run.fraction(KernelClass::MerkleTree);
-        let ntt = run.fraction(KernelClass::Ntt);
-        // Table 1: Merkle ≈ 60–70%, NTT ≈ 15–22%.
-        assert!(merkle > 0.3, "merkle fraction {merkle}");
-        assert!(merkle > ntt, "merkle {merkle} vs ntt {ntt}");
-    }
-}

@@ -17,7 +17,6 @@
 use std::sync::Mutex;
 
 use unizk_field::{set_parallelism, Goldilocks, KoalaBear, PrimeField64};
-use unizk_hash::{set_hash_lanes, set_packed_min_batch};
 use unizk_ntt::{
     lde_of_values, set_decompose_parallel_threshold, set_stage_parallel_threshold,
 };
@@ -35,8 +34,6 @@ impl Drop for KnobGuard {
         set_parallelism(0);
         set_stage_parallel_threshold(12);
         set_decompose_parallel_threshold(16);
-        set_hash_lanes(0);
-        set_packed_min_batch(0);
     }
 }
 
@@ -71,57 +68,6 @@ fn stark_proof_identical_under_every_thread_count() {
             Some((bytes, counts)) => {
                 assert_eq!(&got.0, bytes, "proof bytes differ at threads={threads}");
                 assert_eq!(&got.1, counts, "trace counters differ at threads={threads}");
-            }
-        }
-    }
-}
-
-/// Hash-lane-packing invariance, end to end: the full STARK prove →
-/// verify loop must emit bit-identical proofs and counters at every
-/// Poseidon lane width and packed-batch threshold, stacked on top of the
-/// thread sweep (the grind distributes lane groups across worker threads,
-/// so the two knobs compose in the hot path).
-#[test]
-fn stark_proof_identical_under_every_hash_lane_setting() {
-    let _lock = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
-    let _restore = KnobGuard;
-
-    let air = FibonacciAir::new(256);
-    let config = StarkConfig::for_testing();
-
-    let mut reference: Observed<Vec<u8>> = None;
-    for (lanes, min_batch, threads) in [
-        // Scalar everywhere (the packed engine fully disengaged).
-        (1usize, 2usize, 1usize),
-        // Every packed width, single-threaded.
-        (2, 2, 1),
-        (4, 2, 1),
-        (8, 2, 1),
-        // A threshold so high batches always fall back to scalar.
-        (8, 1_000_000, 1),
-        // Packing and multi-threading composed.
-        (4, 2, 2),
-        (8, 2, 3),
-        (8, 1, 0),
-    ] {
-        set_hash_lanes(lanes);
-        set_packed_min_batch(min_batch);
-        set_parallelism(threads);
-        trace::reset();
-        let proof = prove(&air, &config).expect("trace satisfies the AIR");
-        verify(&air, &proof, &config).expect("honest proof verifies");
-        let got = (proof.to_bytes(), counters());
-        match &reference {
-            None => reference = Some(got),
-            Some((bytes, counts)) => {
-                assert_eq!(
-                    &got.0, bytes,
-                    "proof bytes differ at lanes={lanes} min_batch={min_batch} threads={threads}"
-                );
-                assert_eq!(
-                    &got.1, counts,
-                    "counters differ at lanes={lanes} min_batch={min_batch} threads={threads}"
-                );
             }
         }
     }
